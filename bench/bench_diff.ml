@@ -1,43 +1,34 @@
 (* Headline-throughput regression gate.
 
    Reads a BENCH_congest.json (freshly produced by engine_bench) and
-   compares the headline fast-path figure — headline.after
-   .rounds_per_sec, the BFS-on-ER n=16384 workload — against a
-   committed floor. The floor is deliberately well below the committed
-   headline (581 rounds/s at the time of writing) so scheduler noise
-   on a busy CI host does not flap the gate; only a real regression
-   (an engine hot-loop slowdown, e.g. metrics instrumentation leaking
+   checks the headline speedup — headline.speedup_rounds_per_sec, the
+   fast engine's rounds/s over the reference engine's on the BFS-on-ER
+   n=16384 workload — against a committed floor. Both sides are
+   measured in the same run on the same host, so the ratio is
+   comparable across hosts and core counts where raw rounds/s is not;
+   the gate runs everywhere. The floor sits below every ratio observed
+   on a quiet host (see CHANGES.md), so only a real regression of the
+   fast path (an engine hot-loop slowdown, e.g. instrumentation leaking
    into the per-round path) trips it.
 
-   Wall-clock throughput is only comparable between like hosts, so the
-   gate self-skips (exit 0, loudly) when the JSON's meta.host_cores
-   differs from --floor-cores: the floor was calibrated on a 1-core
-   container, and a 32-core workstation would sail over it while a
-   slower 1-core host legitimately under it.
-
-   Exit codes: 0 pass or skip, 1 regression, 2 unreadable input. *)
+   Exit codes: 0 pass (or a smoke-mode file, skipped), 1 regression,
+   2 unreadable input. *)
 
 let usage () =
   prerr_endline
-    "usage: bench_diff [FILE] [--floor R/S] [--floor-cores N]\n\
-     Compare FILE's (default BENCH_congest.json) headline fast-path\n\
-     rounds/s against the committed floor; skip when the host core\n\
-     count differs from the floor's calibration host.";
+    "usage: bench_diff [FILE] [--floor X]\n\
+     Compare FILE's (default BENCH_congest.json) headline fast/reference\n\
+     speedup against the committed floor.";
   exit 2
 
 let () =
   let file = ref "BENCH_congest.json" in
-  let floor = ref 356.0 in
-  let floor_cores = ref 1 in
+  let floor = ref 2.4 in
   let rec parse = function
     | [] -> ()
     | "--floor" :: v :: rest -> (
       match float_of_string_opt v with
       | Some f -> floor := f; parse rest
-      | None -> usage ())
-    | "--floor-cores" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some c -> floor_cores := c; parse rest
       | None -> usage ())
     | a :: _ when String.length a > 0 && a.[0] = '-' -> usage ()
     | a :: rest -> file := a; parse rest
@@ -51,11 +42,10 @@ let () =
       exit 2
   in
   match
-    ( to_int_opt (path [ "meta"; "host_cores" ] j),
-      to_string_opt (path [ "meta"; "mode" ] j),
-      to_float_opt (path [ "headline"; "after"; "rounds_per_sec" ] j) )
+    ( to_string_opt (path [ "meta"; "mode" ] j),
+      to_float_opt (path [ "headline"; "speedup_rounds_per_sec" ] j) )
   with
-  | Some cores, Some mode, Some rps -> (
+  | Some mode, Some speedup -> (
     if mode <> "full" then begin
       (* Smoke runs use n=256 — a different workload entirely. *)
       Printf.printf
@@ -64,35 +54,27 @@ let () =
         !file mode;
       exit 0
     end;
-    if cores <> !floor_cores then begin
-      Printf.printf
-        "bench-diff: SKIP — host has %d core(s), floor calibrated on %d; \
-         wall-clock throughput is not comparable across hosts\n"
-        cores !floor_cores;
-      exit 0
-    end;
-    match classify_float rps with
+    match classify_float speedup with
     | FP_nan | FP_infinite ->
-      Printf.printf "bench-diff: FAIL — headline rounds/s is %f\n" rps;
+      Printf.printf "bench-diff: FAIL — headline speedup is %f\n" speedup;
       exit 1
     | _ ->
-      if rps >= !floor then begin
+      if speedup >= !floor then begin
         Printf.printf
-          "bench-diff: OK — headline %.0f rounds/s >= floor %.0f (%.2fx \
-           headroom)\n"
-          rps !floor (rps /. !floor);
+          "bench-diff: OK — headline speedup %.2fx (fast vs reference) >= \
+           floor %.2fx\n"
+          speedup !floor;
         exit 0
       end
       else begin
         Printf.printf
-          "bench-diff: FAIL — headline %.0f rounds/s under the committed \
-           floor %.0f; the engine hot path regressed\n"
-          rps !floor;
+          "bench-diff: FAIL — headline speedup %.2fx (fast vs reference) \
+           under the committed floor %.2fx; the engine hot path regressed\n"
+          speedup !floor;
         exit 1
       end)
   | _ ->
     Printf.eprintf
-      "bench_diff: %s lacks meta.host_cores / meta.mode / \
-       headline.after.rounds_per_sec\n"
+      "bench_diff: %s lacks meta.mode / headline.speedup_rounds_per_sec\n"
       !file;
     exit 2

@@ -60,25 +60,6 @@ let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
 let ledger_arg =
   Arg.(value & flag & info [ "ledger" ] ~doc:"Print the per-phase round ledger.")
 
-let domains_arg =
-  let env =
-    Cmd.Env.info "LIGHTNET_DOMAINS"
-      ~doc:"Default engine domain count (same as $(b,--domains))."
-  in
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N" ~env
-        ~doc:
-          "Run the CONGEST engine on N OCaml domains (parallel backend). \
-           Results are byte-identical for every N; only wall time changes.")
-
-(* Install the parallel backend for the dynamic extent of [f]. 1 keeps
-   the default sequential fast engine. *)
-let with_domains domains f =
-  if domains < 1 then Fmt.failwith "--domains must be >= 1 (got %d)" domains
-  else if domains = 1 then f ()
-  else Engine.with_backend (Engine.Par domains) f
-
 let trace_arg =
   Arg.(
     value
@@ -133,12 +114,11 @@ let with_obs trace metrics f =
     v
 
 let spanner_cmd =
-  let run n model seed k epsilon ledger input output trace metrics domains =
+  let run n model seed k epsilon ledger input output trace metrics =
     let g = make_graph ?input ~model ~n ~seed () in
     report_common g;
     let sp, q =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () -> Quick.light_spanner ~seed ~epsilon g ~k))
+      with_obs trace metrics (fun () -> Quick.light_spanner ~seed ~epsilon g ~k)
     in
     Format.printf "light spanner: %a@." Quick.pp_quality q;
     Format.printf "  promised: stretch <= %.2f@." sp.Light_spanner.stretch_bound;
@@ -161,19 +141,18 @@ let spanner_cmd =
     (Cmd.info "spanner" ~doc:"Build the Section-5 light spanner (Table 1 row 1).")
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ k_arg $ eps_arg $ ledger_arg
-      $ input_arg $ output_arg $ trace_arg $ metrics_arg $ domains_arg)
+      $ input_arg $ output_arg $ trace_arg $ metrics_arg)
 
 let slt_cmd =
-  let run n model seed root epsilon gamma ledger trace metrics domains =
+  let run n model seed root epsilon gamma ledger trace metrics =
     let g = make_graph ~model ~n ~seed () in
     report_common g;
     let rng = Random.State.make [| seed; 0x51 |] in
     let t =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () ->
-              match gamma with
-              | Some gamma -> Slt.build_light ~rng g ~rt:root ~gamma
-              | None -> Slt.build ~rng g ~rt:root ~epsilon))
+      with_obs trace metrics (fun () ->
+          match gamma with
+          | Some gamma -> Slt.build_light ~rng g ~rt:root ~gamma
+          | None -> Slt.build ~rng g ~rt:root ~epsilon)
     in
     Format.printf "SLT: stretch %.3f (promised %.1f), lightness %.3f (promised %.2f)@."
       (Stats.tree_root_stretch g t.Slt.tree ~root)
@@ -194,16 +173,13 @@ let slt_cmd =
     (Cmd.info "slt" ~doc:"Build the Section-4 shallow-light tree (Table 1 row 2).")
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ root_arg $ eps_arg $ gamma_arg
-      $ ledger_arg $ trace_arg $ metrics_arg $ domains_arg)
+      $ ledger_arg $ trace_arg $ metrics_arg)
 
 let net_cmd =
-  let run n model seed radius delta ledger trace metrics domains =
+  let run n model seed radius delta ledger trace metrics =
     let g = make_graph ~model ~n ~seed () in
     report_common g;
-    let net =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () -> Quick.net ~seed ~delta g ~radius))
-    in
+    let net = with_obs trace metrics (fun () -> Quick.net ~seed ~delta g ~radius) in
     Format.printf
       "net: %d points in %d iterations; covering <= %.2f, separation > %.2f@."
       (List.length net.Net.points) net.Net.iterations net.Net.covering_bound
@@ -221,15 +197,14 @@ let net_cmd =
     (Cmd.info "net" ~doc:"Build a Section-6 (alpha,beta)-net (Table 1 row 3).")
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ radius_arg $ delta_arg
-      $ ledger_arg $ trace_arg $ metrics_arg $ domains_arg)
+      $ ledger_arg $ trace_arg $ metrics_arg)
 
 let doubling_cmd =
-  let run n model seed epsilon ledger trace metrics domains =
+  let run n model seed epsilon ledger trace metrics =
     let g = make_graph ~model ~n ~seed () in
     report_common g;
     let sp, q =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () -> Quick.doubling_spanner ~seed ~epsilon g))
+      with_obs trace metrics (fun () -> Quick.doubling_spanner ~seed ~epsilon g)
     in
     Format.printf "doubling spanner: %a (%d scales, max table %d)@." Quick.pp_quality q
       sp.Doubling_spanner.scales sp.Doubling_spanner.max_table;
@@ -241,20 +216,19 @@ let doubling_cmd =
        ~doc:"Build the Section-7 doubling-graph spanner (Table 1 row 4).")
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ eps_arg $ ledger_arg
-      $ trace_arg $ metrics_arg $ domains_arg)
+      $ trace_arg $ metrics_arg)
 
 let estimate_cmd =
-  let run n model seed alpha trace metrics domains =
+  let run n model seed alpha trace metrics =
     let g = make_graph ~model ~n ~seed () in
     report_common g;
     let rng = Random.State.make [| seed; 0xe5 |] in
     let est =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () ->
-              let bfs =
-                Telemetry.span "bfs-tree" (fun () -> fst (Bfs.tree g ~root:0))
-              in
-              Mst_weight.estimate ~rng g ~bfs ~alpha))
+      with_obs trace metrics (fun () ->
+          let bfs =
+            Telemetry.span "bfs-tree" (fun () -> fst (Bfs.tree g ~root:0))
+          in
+          Mst_weight.estimate ~rng g ~bfs ~alpha)
     in
     let l = Mst_seq.weight g in
     Format.printf "Psi = %.1f; Psi/L = %.2f (guaranteed in [1, %.1f]); %d levels@."
@@ -266,7 +240,7 @@ let estimate_cmd =
     (Cmd.info "estimate" ~doc:"Section-8 net-based MST weight estimation.")
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ alpha_arg $ trace_arg
-      $ metrics_arg $ domains_arg)
+      $ metrics_arg)
 
 (* Chaos runs: build a deterministic fault plan from --fault-seed,
    drive an algorithm through it, certify the result with Monitor, and
@@ -275,7 +249,7 @@ let estimate_cmd =
    description in the ledger) replays the exact run. *)
 let chaos_cmd =
   let run n model seed algo drop_prob drop_until crash_nodes link_fails
-      fault_seed reliable max_retries ledger trace metrics domains =
+      fault_seed reliable max_retries ledger trace metrics =
     let g = make_graph ~model ~n ~seed () in
     report_common g;
     let n = Graph.n g in
@@ -307,13 +281,10 @@ let chaos_cmd =
     Ledger.note lg ~label:"graph-seed" (string_of_int seed);
     Ledger.note lg ~label:"fault-seed" (string_of_int fault_seed);
     Ledger.note lg ~label:"fault-plan" (Fault.describe plan);
-    if domains > 1 then
-      Ledger.note lg ~label:"domains" (string_of_int domains);
     let before = Engine.snapshot_totals () in
     (* Record only around the faulty run itself; the trace is written
        before the non-zero exits below. *)
     let stats, report =
-      with_domains domains @@ fun () ->
       with_obs trace metrics @@ fun () ->
       (* One span over the whole chaotic run, so the trace's phase tree
          attributes the rounds even for the uninstrumented raw
@@ -384,12 +355,6 @@ let chaos_cmd =
     (* Registry-to-ledger bridge: any histogram series observed during
        the run lands in the printed ledger as a metrics/ note. *)
     if Metrics.on () then Telemetry.note_metrics lg (Metrics.snapshot ());
-    (if domains > 1 then
-       let peaks = Engine.par_arena_peaks () in
-       if Array.length peaks > 0 then
-         Ledger.note lg ~label:"par-arena-peaks"
-           (String.concat ","
-              (Array.to_list (Array.map string_of_int peaks))));
     Format.printf "run: %a@." Engine.pp_stats stats;
     Format.printf "verdict: %a@." Monitor.pp report;
     if ledger then Format.printf "%a@." Ledger.pp lg;
@@ -447,7 +412,7 @@ let chaos_cmd =
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ algo_arg $ drop_arg
       $ drop_until_arg $ crash_arg $ link_arg $ fault_seed_arg $ reliable_arg
-      $ retries_arg $ ledger_arg $ trace_arg $ metrics_arg $ domains_arg)
+      $ retries_arg $ ledger_arg $ trace_arg $ metrics_arg)
 
 (* Artifact pipeline: `build-artifact` runs the constructions once and
    persists everything the serving side needs; `serve` never rebuilds
@@ -455,17 +420,15 @@ let chaos_cmd =
    certifies the answered stretch against exact distances (exit 3 on a
    Wrong verdict, mirroring chaos). *)
 let build_artifact_cmd =
-  let run n model seed input k epsilon slt_epsilon root output trace metrics
-      domains =
+  let run n model seed input k epsilon slt_epsilon root output trace metrics =
     let g = make_graph ?input ~model ~n ~seed () in
     report_common g;
     let sp, q, slt =
-      with_domains domains (fun () ->
-          with_obs trace metrics (fun () ->
-              let sp, q = Quick.light_spanner ~seed ~epsilon g ~k in
-              let rng = Random.State.make [| seed; 0x51 |] in
-              let slt = Slt.build ~rng g ~rt:root ~epsilon:slt_epsilon in
-              (sp, q, slt)))
+      with_obs trace metrics (fun () ->
+          let sp, q = Quick.light_spanner ~seed ~epsilon g ~k in
+          let rng = Random.State.make [| seed; 0x51 |] in
+          let slt = Slt.build ~rng g ~rt:root ~epsilon:slt_epsilon in
+          (sp, q, slt))
     in
     let mst = Mst_seq.kruskal g in
     let params =
@@ -523,8 +486,7 @@ let build_artifact_cmd =
           versioned binary artifact for $(b,lightnet serve).")
     Term.(
       const run $ n_arg $ model_arg $ seed_arg $ input_arg $ k_arg $ eps_arg
-      $ slt_eps_arg $ root_arg $ out_arg $ trace_arg $ metrics_arg
-      $ domains_arg)
+      $ slt_eps_arg $ root_arg $ out_arg $ trace_arg $ metrics_arg)
 
 (* One artifact (positional FILE) or a whole store (--store DIR): the
    single-artifact path runs Serve.run as before; the store path
@@ -546,6 +508,7 @@ let serve_cmd =
       | None -> Fmt.failwith "unknown tier %S (spanner|label|cache)" tier
     in
     let sample = if sample <= 0 then None else Some sample in
+    if domains < 1 then Fmt.failwith "--domains must be >= 1 (got %d)" domains;
     let serve_one file =
       let art = Artifact.load file in
       Format.printf "%a@." Artifact.pp art;
@@ -679,6 +642,12 @@ let serve_cmd =
           ~doc:
             "With --store: Zipf exponent of the over-networks distribution \
              (0 = uniform).")
+  in
+  let domains_arg =
+    Arg.(
+      value & opt int 1
+      & info [ "domains" ] ~docv:"N"
+          ~doc:"With --store: shard the batch over N OCaml domains.")
   in
   let capacity_arg =
     Arg.(
@@ -874,7 +843,7 @@ let store_cmd =
    fixture exists to prove the harness can fail). Any violation exits
    5, so CI runs the whole committed suite in one invocation. *)
 let scenario_cmd =
-  let run files dir expect json_path trace metrics domains =
+  let run files dir expect json_path trace metrics =
     let from_dir =
       match dir with
       | None -> []
@@ -888,7 +857,6 @@ let scenario_cmd =
     if files = [] then
       Fmt.failwith "no scenarios: give FILE... and/or --dir DIR";
     let outcomes =
-      with_domains domains @@ fun () ->
       with_obs trace metrics @@ fun () ->
       List.map
         (fun path ->
@@ -975,7 +943,7 @@ let scenario_cmd =
           $(b,--expect-violation) scenario passing).")
     Term.(
       const run $ files_arg $ dir_arg $ expect_arg $ json_arg $ trace_arg
-      $ metrics_arg $ domains_arg)
+      $ metrics_arg)
 
 let report_cmd =
   let run file min_coverage =
@@ -1077,23 +1045,37 @@ let gen_cmd =
     (Cmd.info "gen" ~doc:"Generate a graph and write it to a file.")
     Term.(const run $ n_arg $ model_arg $ seed_arg $ out_arg)
 
+(* Input errors — a parameter out of range, an unreadable file — reach
+   here as [Failure] (the CLI's own checks), [Invalid_argument] (a
+   library precondition) or [Sys_error]; they exit 1 with the message
+   on one line. Anything else is an internal error and keeps
+   cmdliner's code 125. *)
 let () =
   let doc = "Distributed construction of light networks (PODC 2020), simulated." in
+  let cmd =
+    Cmd.group (Cmd.info "lightnet" ~doc)
+      [
+        spanner_cmd;
+        slt_cmd;
+        net_cmd;
+        doubling_cmd;
+        estimate_cmd;
+        chaos_cmd;
+        scenario_cmd;
+        build_artifact_cmd;
+        serve_cmd;
+        store_cmd;
+        report_cmd;
+        metrics_cmd;
+        gen_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "lightnet" ~doc)
-          [
-            spanner_cmd;
-            slt_cmd;
-            net_cmd;
-            doubling_cmd;
-            estimate_cmd;
-            chaos_cmd;
-            scenario_cmd;
-            build_artifact_cmd;
-            serve_cmd;
-            store_cmd;
-            report_cmd;
-            metrics_cmd;
-            gen_cmd;
-          ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Failure msg | Invalid_argument msg | Sys_error msg ->
+      Format.eprintf "lightnet: %s@." msg;
+      1
+    | e ->
+      Format.eprintf "lightnet: internal error, uncaught exception: %s@."
+        (Printexc.to_string e);
+      125)

@@ -14,12 +14,10 @@
     local view ({!ctx}): a node knows [n], its own id, its incident
     edges and their weights, and nothing else.
 
-    Three observationally identical execution paths exist (see
-    DESIGN.md, "Engine internals" and "Parallel engine"): {!run_fast},
-    the default — arena mailboxes, generation-stamped cap tracking and
-    an active-set scheduler — {!run_par}, which shards the node-step
-    phase of every round across OCaml 5 domains with a deterministic
-    sequential merge, and {!run_reference}, the simple list-based
+    Two observationally identical execution paths exist (see
+    DESIGN.md, "Engine internals"): {!run_fast}, the default — arena
+    mailboxes, generation-stamped cap tracking and an active-set
+    scheduler — and {!run_reference}, the simple list-based
     specification engine kept as the differential-testing baseline.
     {!run} dispatches on the process-wide {!backend}. *)
 
@@ -45,8 +43,6 @@ type ctx = private {
   off : int array;
   adj_eid : int array;
   adj_dst : int array;
-  mutable nbr_rows : (int * int) array array;
-      (** memo for the deprecated {!ctx_neighbors}; engine-internal *)
 }
 
 (** Number of edges incident to this node. *)
@@ -76,15 +72,6 @@ val ctx_iter_neighbors : ctx -> (int -> int -> unit) -> unit
     to build a send list in order:
     [List.rev (ctx_fold_neighbors ctx (fun acc e _ -> {via=e; msg} :: acc) [])]. *)
 val ctx_fold_neighbors : ctx -> ('a -> int -> int -> 'a) -> 'a -> 'a
-
-(** Deprecated boxed tuple view: the array of [(edge_id, neighbor)]
-    pairs for this node, built lazily from the CSR columns on first
-    access and memoized. Like [Graph.neighbors], it survives only for
-    external API compatibility — in-tree code must use the accessors
-    above (enforced by a grep gate in the test suite), because forcing
-    the rows for all nodes costs ~[8n + 8m] words of boxed memory
-    (~750 MB at RMAT scale 20). Do not mutate the returned array. *)
-val ctx_neighbors : ctx -> (int * int) array
 
 (** A message received on [edge] from neighbour [from]. *)
 type 'm received = { from : int; edge : int; payload : 'm }
@@ -167,12 +154,7 @@ type stats = {
     events (0 once the arena reaches steady state).
     [dropped_messages]/[retransmissions] separate fault-injected
     losses and protocol resends from clean traffic ([messages] counts
-    every send, lost or not). [domains] is the maximum domain count
-    any contributing run executed with (1 for the sequential backends,
-    0 if no run contributed); [barrier_wall] is seconds the {!run_par}
-    main domain spent waiting on the end-of-step-phase barrier —
-    [barrier_wall / wall] close to 1 means the shards are imbalanced
-    or the machine has fewer cores than domains. *)
+    every send, lost or not). *)
 type perf = {
   mutable runs : int;
   mutable rounds : int;
@@ -185,8 +167,6 @@ type perf = {
   mutable arena_grows : int;
   mutable dropped_messages : int;
   mutable retransmissions : int;
-  mutable domains : int;
-  mutable barrier_wall : float;
 }
 
 val create_perf : unit -> perf
@@ -275,42 +255,6 @@ val run_fast :
   ('s, 'm) program ->
   's array * stats
 
-(** The multicore engine: nodes are sharded into [domains] contiguous
-    blocks, each round's node-step phase runs in parallel (one OCaml 5
-    domain per block, the calling domain takes block 0), and the
-    buffered outboxes are then merged sequentially in ascending node
-    order through the exact delivery logic of {!run_fast} — so states,
-    stats, [Congest_violation] attribution, observer call sequence,
-    fault accounting and the round-probe stream are byte-identical to
-    {!run_fast} for {i every} domain count. See DESIGN.md "Parallel
-    engine" for the sharding layout, barrier protocol and determinism
-    argument. [domains] below 1 is [Invalid_argument]; counts above
-    the node count are clamped. One divergence: if a [step] raises, the
-    other nodes of that round may already have stepped before the
-    exception (of the lowest raising node) is re-raised, whereas the
-    sequential backends stop mid-round — states are discarded either
-    way, but programs with external side effects can observe the extra
-    steps. Worker domains are spawned per run and joined on every exit
-    path. Per-domain peak arena sizes are exposed via
-    {!par_arena_peaks}. *)
-val run_par :
-  ?word_cap:int ->
-  ?max_rounds:int ->
-  ?on_round_limit:[ `Raise | `Mark ] ->
-  ?observer:observer ->
-  ?perf:perf ->
-  ?faults:Fault.plan ->
-  domains:int ->
-  Ln_graph.Graph.t ->
-  ('s, 'm) program ->
-  's array * stats
-
-(** Per-domain peak mailbox-arena capacities (in slots, both buffers)
-    of the most recent {!run_par} in this process, indexed by domain.
-    [[||]] before any parallel run. Recorded by the CLI into ledger
-    notes so parallel traces attribute arena memory per shard. *)
-val par_arena_peaks : unit -> int array
-
 (** The accounting-strict specification engine (per-destination list
     inboxes, hashtable duplicate tracking, full O(n) scan per round).
     Differential baseline: for any program, states, stats and the
@@ -341,12 +285,10 @@ val with_faults : ?max_rounds:int -> Fault.plan -> (unit -> 'a) -> 'a
     [stats.retransmissions] and in [perf]. A no-op outside a run. *)
 val count_retransmission : unit -> unit
 
-(** Which implementation {!run} dispatches to (default [Fast]).
-    [Par d] dispatches to {!run_par} with [d] domains. The switch lets
-    the differential checker (and the CLI's [--domains] flag) drive
-    every algorithm in the library through any path without touching
-    call sites. *)
-type backend = Fast | Reference | Par of int
+(** Which implementation {!run} dispatches to (default [Fast]). The
+    switch lets the differential checker drive every algorithm in the
+    library through either path without touching call sites. *)
+type backend = Fast | Reference
 
 val set_backend : backend -> unit
 val current_backend : unit -> backend

@@ -10,22 +10,14 @@
 
 type kind = Native | Charged
 
-(** [domains] is the engine domain count the phase was measured under
-    (1 = sequential; always 1 for [Charged] entries — an analytic
-    charge has no execution). Written by [Telemetry.span] from the
-    engine's perf counters so parallel-run ledgers attribute fully. *)
-type entry = { label : string; kind : kind; rounds : int; domains : int }
+type entry = { label : string; kind : kind; rounds : int }
 
 type t
 
 val create : unit -> t
 
-(** [native t ~label rounds] records a measured phase. [domains]
-    (default 1) records the engine domain count it ran under; round
-    counts are domain-independent (the parallel backend is
-    deterministic), so this is attribution metadata, not a cost
-    scale factor. *)
-val native : t -> label:string -> ?domains:int -> int -> unit
+(** [native t ~label rounds] records a measured phase. *)
+val native : t -> label:string -> int -> unit
 
 (** [charged t ~label rounds] records an analytically charged phase. *)
 val charged : t -> label:string -> int -> unit

@@ -5,11 +5,9 @@ type 'm envelope = { ack : int; data : (int * 'm) option }
 let rto = 2
 let word_overhead = 2
 
-(* Registry counters. These fire inside [step], which runs on worker
-   domains under [run_par] — exactly the case the registry's
-   per-domain shards exist for: the increments land in each worker's
-   own shard and sum deterministically at snapshot time, mirroring how
-   [Engine.count_retransmission] attributes into per-domain cells. *)
+(* Registry counters. These fire inside [step]; when several domains
+   run the engine at once the increments land in each domain's own
+   registry shard and sum deterministically at snapshot time. *)
 let m_retrans =
   Metrics.counter
     ~help:"Stop-and-wait ARQ retransmissions (duplicate data envelopes)."

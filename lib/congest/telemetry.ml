@@ -13,7 +13,6 @@ type event =
       words : int;
       drops : int;
       retrans : int;
-      domains : int;
       wall : float;
       t : float;
     }
@@ -149,7 +148,6 @@ let span ?ledger name f =
             words = d.words;
             drops = d.dropped_messages;
             retrans = d.retransmissions;
-            domains = max 1 d.domains;
             wall = d.wall;
             t = Unix.gettimeofday () -. st.t0;
           }
@@ -161,7 +159,7 @@ let span ?ledger name f =
   | v ->
     let d = close () in
     (match ledger with
-    | Some l -> Ledger.native l ~label:name ~domains:(max 1 d.domains) d.rounds
+    | Some l -> Ledger.native l ~label:name d.rounds
     | None -> ());
     v
   | exception e ->
@@ -214,7 +212,6 @@ let add_event ~det b e =
         words;
         drops;
         retrans;
-        domains;
         wall;
         t;
       } ->
@@ -230,9 +227,6 @@ let add_event ~det b e =
     fld_i "words" words;
     fld_i "drops" drops;
     fld_i "retrans" retrans;
-    (* Backend-dependent (Par d vs sequential), so excluded from the
-       deterministic stream like the wall-clock fields. *)
-    if not det then fld_i "domains" domains;
     fld_f "wall" wall;
     fld_f "t" t
   | Round { run; round; messages; words; steps; active; drops } ->
@@ -319,13 +313,12 @@ let to_chrome ?metrics t =
             words;
             drops;
             retrans;
-            domains;
             _;
           } ->
         ev
           (Printf.sprintf
-             {|{"ph":"E","pid":1,"tid":1,"ts":%d,"args":{"rounds":%d,"runs":%d,"steps":%d,"messages":%d,"words":%d,"drops":%d,"retrans":%d,"domains":%d}}|}
-             r1 rounds runs steps messages words drops retrans domains)
+             {|{"ph":"E","pid":1,"tid":1,"ts":%d,"args":{"rounds":%d,"runs":%d,"steps":%d,"messages":%d,"words":%d,"drops":%d,"retrans":%d}}|}
+             r1 rounds runs steps messages words drops retrans)
       | Round { round; messages; words; steps; active; drops; _ } ->
         if round = 0 then run_base := !cum;
         let ts = !run_base + round in
@@ -627,11 +620,7 @@ let event_of_json j =
            words = i "words";
            drops = i "drops";
            retrans = i "retrans";
-           (* Absent in traces written before the parallel backend. *)
-           domains =
-             (match Json.member "domains" j with
-             | Json.Null -> 1
-             | v -> Json.to_int v);
+           (* Older traces also carry a [domains] field; it is ignored. *)
            wall = f "wall";
            t = f "t";
          })
@@ -777,8 +766,7 @@ let pp_report ppf (t : t) =
   let runs = ref 0
   and messages = ref 0
   and words = ref 0
-  and drops = ref 0
-  and doms = ref 0 in
+  and drops = ref 0 in
   List.iter
     (fun e ->
       match e with
@@ -787,14 +775,12 @@ let pp_report ppf (t : t) =
         messages := !messages + r.messages;
         words := !words + r.words;
         drops := !drops + r.drops
-      | Span_end { domains; _ } -> if domains > !doms then doms := domains
       | _ -> ())
     t.events;
   Format.fprintf ppf
     "trace: %d engine runs, %d rounds, %d msgs, %d words (wall %.3fs)"
     !runs t.rounds !messages !words t.wall;
   if !drops > 0 then Format.fprintf ppf ", %d dropped" !drops;
-  if !doms > 1 then Format.fprintf ppf ", %d domains" !doms;
   Format.fprintf ppf "@.";
   let roots = span_forest t in
   if roots <> [] then begin

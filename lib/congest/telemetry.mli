@@ -27,16 +27,11 @@
 (** One captured event. Rounds in [Span_begin.r0] / [Span_end.r1] are
     cumulative executed engine rounds since {!start} (a virtual clock
     shared with {!event.Round} samples). [t] fields are wall-clock
-    seconds since {!start}; [t], [wall] and [Span_end.domains] are the
-    only non-deterministic fields (excluded from
-    {!deterministic_lines} — [domains] is backend-dependent, and the
-    deterministic stream must be identical across backends).
-    [Span_end.domains] is the maximum engine domain count recorded in
-    the process when the span closed (1 = sequential; traces written
-    before the parallel backend load as 1). [Round] samples carry
-    per-round deltas; [round = 0] is an engine run's init round
-    ([steps = 0], [active] = n). [Link] events are appended by
-    {!stop}, sorted by [(from, dest)]. *)
+    seconds since {!start}; [t] and [wall] are the only
+    non-deterministic fields (excluded from {!deterministic_lines}).
+    [Round] samples carry per-round deltas; [round = 0] is an engine
+    run's init round ([steps = 0], [active] = n). [Link] events are
+    appended by {!stop}, sorted by [(from, dest)]. *)
 type event =
   | Span_begin of { id : int; parent : int; name : string; r0 : int; t : float }
   | Span_end of {
@@ -50,7 +45,6 @@ type event =
       words : int;
       drops : int;
       retrans : int;
-      domains : int;
       wall : float;
       t : float;
     }
@@ -102,9 +96,8 @@ val record : (unit -> 'a) -> 'a * t
 val leaf_round_coverage : t -> float
 
 (** Canonical one-line-per-event serialization with every
-    non-deterministic field ([t], [wall], [domains]) omitted. For any
-    program all three engine backends (including {!Engine.run_par} at
-    any domain count) produce byte-identical streams; fault plans
+    non-deterministic field ([t], [wall]) omitted. For any program
+    both engine backends produce byte-identical streams; fault plans
     preserve this (drops are deterministic). *)
 val deterministic_lines : t -> string list
 

@@ -2,10 +2,9 @@
 
     {!run} pushes a batch of (network digest, source, destination)
     requests through one oracle tier, sharding the work across OCaml
-    domains with the work-stealing shape of
-    [Ln_congest.Engine.run_par]: the request array is cut into
-    fixed-width chunks ({!chunk_queries}, independent of the domain
-    count), domains claim chunks off a shared atomic cursor, and every
+    domains: the request array is cut into fixed-width chunks
+    ({!chunk_queries}, independent of the domain count), domains claim
+    chunks off a shared atomic cursor, and every
     per-chunk accumulator is merged on the main domain in ascending
     chunk order. Because the chunk boundaries and every merge order
     are functions of the batch alone, the answered-distance checksums

@@ -225,7 +225,7 @@ let oracle t digest =
 
 let add t path =
   match Artifact.load path with
-  | exception Failure why -> Error why
+  | exception (Failure why | Sys_error why) -> Error why
   | artifact -> (
     let digest = Artifact.digest_hex artifact in
     match Hashtbl.find_opt t.entries digest with

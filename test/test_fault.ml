@@ -336,14 +336,12 @@ let test_retry_exhaustion () =
   Alcotest.(check bool) "degraded, not silently Correct" true
     (r.verdict = Monitor.Degraded);
   let reference = side (fun g p -> Engine.run_reference ~faults:plan g p) in
-  let par = side (fun g p -> Engine.run_par ~domains:3 ~faults:plan g p) in
-  Alcotest.(check bool) "reference agrees" true ((got, stats, gave) = reference);
-  Alcotest.(check bool) "par agrees" true ((got, stats, gave) = par)
+  Alcotest.(check bool) "reference agrees" true ((got, stats, gave) = reference)
 
-(* The three-backend differential on an ARQ'ed protocol under a
+(* The backend differential on an ARQ'ed protocol under a
    crash-*recovery* plan, including the canonical telemetry stream —
    the exact combination the scenario suite leans on. *)
-let test_recovery_differential_all_backends () =
+let test_recovery_differential () =
   let rng = Random.State.make [| 31; 23 |] in
   let g = Gen.ensure_connected rng (Gen.erdos_renyi rng ~n:24 ~p:0.12 ()) in
   let plan =
@@ -374,14 +372,7 @@ let test_recovery_differential_all_backends () =
   Alcotest.(check bool) "converged" true (stats.outcome = Engine.Converged);
   let base = ((states, stats), lines, counts) in
   Alcotest.(check bool) "reference backend byte-identical" true
-    (side (fun g p -> Engine.run_reference ~faults:plan g p) = base);
-  List.iter
-    (fun d ->
-      Alcotest.(check bool)
-        (Printf.sprintf "par(%d) byte-identical" d)
-        true
-        (side (fun g p -> Engine.run_par ~domains:d ~faults:plan g p) = base))
-    [ 2; 3 ]
+    (side (fun g p -> Engine.run_reference ~faults:plan g p) = base)
 
 let test_plan_replayable () =
   let g = graph_of ~n:24 ~seed:5 in
@@ -478,8 +469,8 @@ let () =
             test_crash_recovery;
           Alcotest.test_case "retry exhaustion surfaces" `Quick
             test_retry_exhaustion;
-          Alcotest.test_case "recovery differential (3 backends)" `Quick
-            test_recovery_differential_all_backends;
+          Alcotest.test_case "recovery differential (both backends)" `Quick
+            test_recovery_differential;
           Alcotest.test_case "plans replay" `Quick test_plan_replayable;
           Alcotest.test_case "ambient with_faults" `Quick test_ambient_faults;
           Alcotest.test_case "monitor: bfs + forest" `Quick

@@ -176,6 +176,29 @@ let test_export_roundtrip () =
       Sys.remove path)
     [ "roundtrip_test.jsonl"; "roundtrip_test.json" ]
 
+(* Traces written while the engine still had a parallel backend carry
+   a [domains] field on every span_end; they must still load, with the
+   field ignored. *)
+let test_reads_old_domains_field () =
+  let path = "old_domains_test.jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        {|{"type":"meta","version":1,"rounds":5,"wall":0.01}
+{"type":"span_begin","id":1,"parent":0,"name":"bfs-tree","r0":0,"t":0.0}
+{"type":"span_end","id":1,"name":"bfs-tree","r1":5,"rounds":5,"runs":1,"steps":20,"messages":30,"words":30,"drops":0,"retrans":0,"domains":4,"wall":0.001,"t":0.002}
+|});
+  let tr = Telemetry.load_file path in
+  Sys.remove path;
+  Alcotest.(check int) "round clock" 5 tr.Telemetry.rounds;
+  Alcotest.(check (list string))
+    "span parsed, domains dropped"
+    [
+      {|{"type":"meta","version":1,"rounds":5}|};
+      {|{"type":"span_begin","id":1,"parent":0,"name":"bfs-tree","r0":0}|};
+      {|{"type":"span_end","id":1,"name":"bfs-tree","r1":5,"rounds":5,"runs":1,"steps":20,"messages":30,"words":30,"drops":0,"retrans":0}|};
+    ]
+    (Telemetry.deterministic_lines tr)
+
 let test_leaf_coverage () =
   let tr = spanner_recording () in
   let cov = Telemetry.leaf_round_coverage tr in
@@ -323,6 +346,8 @@ let () =
         [
           Alcotest.test_case "jsonl and chrome round-trip" `Quick
             test_export_roundtrip;
+          Alcotest.test_case "reads traces with a domains field" `Quick
+            test_reads_old_domains_field;
           Alcotest.test_case "leaf coverage on light spanner" `Quick
             test_leaf_coverage;
           Alcotest.test_case "metrics-to-ledger bridge" `Quick
