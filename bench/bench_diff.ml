@@ -1,10 +1,12 @@
 (* Headline-throughput regression gate.
 
-   Reads a BENCH_congest.json (freshly produced by engine_bench) and
-   checks the headline speedup — headline.speedup_rounds_per_sec, the
-   fast engine's rounds/s over the reference engine's on the BFS-on-ER
-   n=16384 workload — against a committed floor. Both sides are
-   measured in the same run on the same host, so the ratio is
+   Reads a BENCH_headline.json (freshly produced by `engine_bench
+   --headline-only`; a full run's BENCH_congest.json carries the same
+   headline section) and checks the headline speedup —
+   headline.speedup_rounds_per_sec, the fast engine's rounds/s over
+   the reference engine's on the BFS-on-ER n=16384 workload — against
+   a committed floor. Both sides are measured in the same run on the
+   same host, so the ratio is
    comparable across hosts and core counts where raw rounds/s is not;
    the gate runs everywhere. The floor sits below every ratio observed
    on a quiet host (see CHANGES.md), so only a real regression of the
@@ -17,12 +19,12 @@
 let usage () =
   prerr_endline
     "usage: bench_diff [FILE] [--floor X]\n\
-     Compare FILE's (default BENCH_congest.json) headline fast/reference\n\
+     Compare FILE's (default BENCH_headline.json) headline fast/reference\n\
      speedup against the committed floor.";
   exit 2
 
 let () =
-  let file = ref "BENCH_congest.json" in
+  let file = ref "BENCH_headline.json" in
   let floor = ref 2.4 in
   let rec parse = function
     | [] -> ()

@@ -18,9 +18,11 @@
       the resulting speedup.
 
    Output goes to BENCH_congest.json (hand-rolled JSON; the image has
-   no yojson). `--smoke` shrinks everything to n=256 so the whole
-   binary finishes in a few seconds; the dune `bench-smoke` alias runs
-   that mode as part of `dune runtest`. *)
+   no yojson). `--headline-only` skips the differential, the workload
+   suite and the RMAT sections and writes BENCH_headline.json instead,
+   the input of `make bench-diff`. `--smoke` shrinks everything to
+   n=256 so the whole binary finishes in a few seconds; the dune
+   `bench-smoke` alias runs that mode as part of `dune runtest`. *)
 
 open Lightnet
 
@@ -900,7 +902,8 @@ let dijkstra_legacy ?(bound = infinity) ?(edge_ok = fun _ -> true) g src =
   Pqueue.push q 0.0 src;
   let rec loop () =
     if not (Pqueue.is_empty q) then begin
-      let d, v = Pqueue.pop_min q in
+      let d = Pqueue.min_prio q in
+      let v = Pqueue.pop_min q in
       if not settled.(v) then begin
         settled.(v) <- true;
         if d <= bound then
@@ -1330,10 +1333,13 @@ let () =
         ("metrics_overhead", metrics);
       ]
   in
-  let oc = open_out "BENCH_congest.json" in
+  (* A headline-only run is partial, so it must not overwrite the
+     committed full-run file; it feeds `make bench-diff` instead. *)
+  let out = if headline_only then "BENCH_headline.json" else "BENCH_congest.json" in
+  let oc = open_out out in
   output_string oc (Json.to_string json);
   close_out oc;
-  Printf.printf "wrote BENCH_congest.json\n%!";
+  Printf.printf "wrote %s\n%!" out;
   if failures <> [] then begin
     Printf.printf "DIFFERENTIAL FAILURES: %s\n%!" (String.concat ", " failures);
     exit 1

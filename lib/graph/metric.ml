@@ -1,7 +1,7 @@
 let ball g ~center ~radius =
-  let r = Paths.dijkstra ~bound:radius g center in
+  let dist = Paths.distances ~bound:radius g center in
   let acc = ref [] in
-  Array.iteri (fun v d -> if d <= radius then acc := v :: !acc) r.dist;
+  Array.iteri (fun v d -> if d <= radius then acc := v :: !acc) dist;
   List.rev !acc
 
 let estimate_ddim ?(samples = 16) rng g =
@@ -11,8 +11,9 @@ let estimate_ddim ?(samples = 16) rng g =
     let best = ref 0.0 in
     for _ = 1 to samples do
       let v = Random.State.int rng n in
-      let sp = Paths.dijkstra g v in
-      let finite = Array.to_list sp.dist |> List.filter (fun d -> d < infinity) in
+      let finite =
+        Array.to_list (Paths.distances g v) |> List.filter (fun d -> d < infinity)
+      in
       let dmax = List.fold_left Float.max 0.0 finite in
       if dmax > 0.0 then begin
         let r = Random.State.float rng (dmax /. 2.0) in
@@ -36,9 +37,9 @@ let separation g pts =
     let best = ref infinity in
     Array.iter
       (fun p ->
-        let sp = Paths.dijkstra g p in
+        let dist = Paths.distances g p in
         Array.iter
-          (fun q -> if q <> p && sp.dist.(q) < !best then best := sp.dist.(q))
+          (fun q -> if q <> p && dist.(q) < !best then best := dist.(q))
           arr)
       arr;
     !best

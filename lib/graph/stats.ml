@@ -32,10 +32,10 @@ let max_edge_stretch g ids =
   (* Dijkstra in H from each vertex once; check its incident edges. *)
   for v = 0 to Graph.n g - 1 do
     if Graph.degree g v > 0 then begin
-      let sp = Paths.dijkstra ~edge_ok g v in
+      let dist = Paths.distances ~edge_ok g v in
       Graph.iter_neighbors g v (fun id u ->
           if u > v then begin
-            let s = edge_stretch ~dist:sp.dist.(u) ~w:(Graph.weight g id) in
+            let s = edge_stretch ~dist:dist.(u) ~w:(Graph.weight g id) in
             if s > !worst then worst := s
           end)
     end
@@ -59,11 +59,11 @@ let sampled_edge_stretch rng g ids ~samples =
       chosen;
     Hashtbl.iter
       (fun u ids_here ->
-        let sp = Paths.dijkstra ~edge_ok g u in
+        let dist = Paths.distances ~edge_ok g u in
         List.iter
           (fun id ->
             let v = Graph.other_end g id u in
-            let s = edge_stretch ~dist:sp.dist.(v) ~w:(Graph.weight g id) in
+            let s = edge_stretch ~dist:dist.(v) ~w:(Graph.weight g id) in
             if s > !worst then worst := s)
           ids_here)
       by_src;
@@ -72,8 +72,8 @@ let sampled_edge_stretch rng g ids ~samples =
 
 let root_stretch g ids ~root =
   let edge_ok = in_set g ids in
-  let exact = Paths.dijkstra g root in
-  let approx = Paths.dijkstra ~edge_ok g root in
+  let exact = Paths.distances g root in
+  let approx = Paths.distances ~edge_ok g root in
   let worst = ref 1.0 in
   (* Vertices unreachable in [g] itself have no defined stretch (the
      exact distance is [infinity]; dividing would make inf/inf = nan):
@@ -81,21 +81,21 @@ let root_stretch g ids ~root =
      below. A vertex reachable in [g] but not in the subgraph yields
      [infinity], which is the honest answer. *)
   for v = 0 to Graph.n g - 1 do
-    if v <> root && exact.dist.(v) > 0.0 && Float.is_finite exact.dist.(v)
+    if v <> root && exact.(v) > 0.0 && Float.is_finite exact.(v)
     then begin
-      let s = approx.dist.(v) /. exact.dist.(v) in
+      let s = approx.(v) /. exact.(v) in
       if s > !worst then worst := s
     end
   done;
   !worst
 
 let tree_root_stretch g tree ~root =
-  let exact = Paths.dijkstra g root in
+  let exact = Paths.distances g root in
   let worst = ref 1.0 in
   for v = 0 to Graph.n g - 1 do
-    if v <> root && exact.dist.(v) > 0.0 && Float.is_finite exact.dist.(v)
+    if v <> root && exact.(v) > 0.0 && Float.is_finite exact.(v)
     then begin
-      let s = Tree.dist_to_root tree v /. exact.dist.(v) in
+      let s = Tree.dist_to_root tree v /. exact.(v) in
       if s > !worst then worst := s
     end
   done;

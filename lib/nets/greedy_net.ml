@@ -9,8 +9,8 @@ let build g ~radius =
   for v = 0 to n - 1 do
     if not covered.(v) then begin
       picked := v :: !picked;
-      let sp = Paths.dijkstra ~bound:radius g v in
-      Array.iteri (fun u d -> if d <= radius then covered.(u) <- true) sp.Paths.dist
+      let dist = Paths.distances ~bound:radius g v in
+      Array.iteri (fun u d -> if d <= radius then covered.(u) <- true) dist
     end
   done;
   List.rev !picked

@@ -16,7 +16,8 @@ let compute g ~order =
       Hashtbl.replace dist u 0.0;
       Pqueue.push q 0.0 u;
       while not (Pqueue.is_empty q) do
-        let d, v = Pqueue.pop_min q in
+        let d = Pqueue.min_prio q in
+        let v = Pqueue.pop_min q in
         match Hashtbl.find_opt dist v with
         | Some dv when d > dv -> () (* stale *)
         | _ ->
@@ -44,7 +45,7 @@ let check g ~order lists =
   let rank = Hashtbl.create 16 in
   List.iteri (fun i u -> Hashtbl.replace rank u i) order;
   let sps =
-    List.map (fun u -> (u, (Paths.dijkstra g u).Paths.dist)) order
+    List.map (fun u -> (u, Paths.distances g u)) order
   in
   let n = Graph.n g in
   let rec verify v =

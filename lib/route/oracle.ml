@@ -116,7 +116,7 @@ let artifact t = t.artifact
 let labels t = t.labels
 
 let spanner_sssp t src =
-  (Paths.dijkstra ~edge_ok:t.spanner_ok t.g src).Paths.dist
+  Paths.distances ~edge_ok:t.spanner_ok t.g src
 
 let evict_stalest lru =
   let victim = ref (-1) and stalest = ref max_int in

@@ -12,7 +12,16 @@
       with hit/miss/eviction counters. Same answers as tier A.
 
     Every answer is tagged with the tier that produced it (and, for
-    tier C, whether it was a cache hit). *)
+    tier C, whether it was a cache hit).
+
+    Cost of tiers A and C: a tier-A query, and a tier-C miss, is one
+    {!Ln_graph.Paths.distances} call over G with H's edge mask as
+    [edge_ok] — O(m log n) time over all of G's edges (the mask, not
+    a separate CSR, restricts it to H), and one n-float array
+    allocated, the array a tier-C miss caches. The heap is the
+    calling domain's reused scratch, so queries from parallel domains
+    (each on its own {!clone}) never share it. A tier-C hit costs one
+    hash lookup. *)
 
 type tier = Spanner | Label | Cache
 
@@ -52,7 +61,8 @@ val query : t -> tier:tier -> int -> int -> answer
 val tree_route : t -> src:int -> dst:int -> int list
 
 (** [spanner_sssp t src] is the tier-A distance array from [src]
-    (used by the certifier and benchmarks). *)
+    (used by the certifier and benchmarks): a fresh array, one
+    {!Ln_graph.Paths.distances} call. *)
 val spanner_sssp : t -> int -> float array
 
 val cache_stats : t -> cache_stats

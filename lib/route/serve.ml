@@ -178,7 +178,7 @@ let certify ?sample oracle ~tier ~bound pairs =
       if u <> !current_src then begin
         current_src := u;
         incr sources;
-        exact := (Paths.dijkstra g u).Paths.dist
+        exact := Paths.distances g u
       end;
       let truth = !exact.(v) in
       let got = (Oracle.query oracle ~tier u v).Oracle.dist in

@@ -81,30 +81,33 @@ let run ?(domains = 1) ?cache_capacity store ~tier requests =
   (* Sequential resolution pre-pass: every store-LRU decision (hit,
      load, eviction, quarantine) happens here, on this domain, in
      request order — deterministic accounting, and workers only ever
-     see resolved oracles. Loaded instances stay pinned by the
-     [resolved] array for the batch even if the store evicts them. *)
-  let resolved = Array.make (max 1 count) None in
+     see resolved oracles. One [Store.oracle] call per request keeps
+     that accounting per request, but only the first instance resolved
+     for each digest is pinned for the batch: a store miss reloads an
+     equal oracle, and tiers answer identically from any instance, so
+     pinning every reload would only hold one copy per miss alive. *)
+  let pinned = Hashtbl.create 16 in
+  let ok = Array.make count false in
   let skipped = ref 0 in
   for i = 0 to count - 1 do
     match Store.oracle store requests.(i).net with
-    | Ok oracle -> resolved.(i) <- Some oracle
+    | Ok oracle ->
+      ok.(i) <- true;
+      if not (Hashtbl.mem pinned requests.(i).net) then
+        Hashtbl.replace pinned requests.(i).net oracle
     | Error _ -> incr skipped
   done;
   let digests =
-    let seen = Hashtbl.create 16 in
-    for i = 0 to count - 1 do
-      if Option.is_some resolved.(i) then Hashtbl.replace seen requests.(i).net ()
-    done;
-    Hashtbl.fold (fun d () acc -> d :: acc) seen [] |> List.sort String.compare
+    Hashtbl.fold (fun d _ acc -> d :: acc) pinned [] |> List.sort String.compare
     |> Array.of_list
   in
   let nnets = Array.length digests in
+  let oracles = Array.map (Hashtbl.find pinned) digests in
   let index = Hashtbl.create 16 in
   Array.iteri (fun n d -> Hashtbl.replace index d n) digests;
   let net_idx =
     Array.init count (fun i ->
-        if Option.is_none resolved.(i) then -1
-        else Hashtbl.find index requests.(i).net)
+        if ok.(i) then Hashtbl.find index requests.(i).net else -1)
   in
   (* Registry handles are registered here, on the main domain, so the
      workers' hot loop never takes the registry mutex. *)
@@ -119,14 +122,14 @@ let run ?(domains = 1) ?cache_capacity store ~tier requests =
   let worker () =
     let hist = Metrics.Hist.create ~error:Serve.lat_error () in
     let clones = Hashtbl.create 8 in
-    let oracle_for i o =
-      if tier <> Oracle.Cache then o
+    let oracle_for n =
+      if tier <> Oracle.Cache then oracles.(n)
       else
-        match Hashtbl.find_opt clones net_idx.(i) with
+        match Hashtbl.find_opt clones n with
         | Some c -> c
         | None ->
-          let c = Oracle.clone ?cache_capacity o in
-          Hashtbl.replace clones net_idx.(i) c;
+          let c = Oracle.clone ?cache_capacity oracles.(n) in
+          Hashtbl.replace clones n c;
           c
     in
     let rec loop () =
@@ -136,18 +139,18 @@ let run ?(domains = 1) ?cache_capacity store ~tier requests =
         let hi = min count (lo + chunk_queries) in
         let row = sums.(c) in
         for i = lo to hi - 1 do
-          match resolved.(i) with
-          | None -> ()
-          | Some o ->
+          let n = net_idx.(i) in
+          if n >= 0 then begin
             let r = requests.(i) in
             let q0 = Unix.gettimeofday () in
-            let ans = Oracle.query (oracle_for i o) ~tier r.u r.v in
+            let ans = Oracle.query (oracle_for n) ~tier r.u r.v in
             let us = 1e6 *. (Unix.gettimeofday () -. q0) in
             Metrics.Hist.observe hist us;
-            (match mh.(net_idx.(i)) with
+            (match mh.(n) with
             | Some m -> Metrics.observe m us
             | None -> ());
-            row.(net_idx.(i)) <- row.(net_idx.(i)) +. ans.Oracle.dist
+            row.(n) <- row.(n) +. ans.Oracle.dist
+          end
         done;
         loop ()
       end

@@ -78,7 +78,10 @@ val workload :
     [cache_capacity] sizes the per-domain source-cache clones
     (defaults to each oracle's own capacity). Requests whose network
     cannot be resolved (unknown or quarantined digest) are counted in
-    [skipped], never fatal.
+    [skipped], never fatal. Every request resolves through the store
+    once (so its LRU accounting is per request), but the batch keeps
+    alive only the first oracle resolved for each network, however
+    often the store reloads it.
     @raise Invalid_argument if [domains < 1]. *)
 val run :
   ?domains:int ->

@@ -58,11 +58,13 @@ let test_pqueue_sorts () =
   let rng = rng () in
   let q = Pqueue.create () in
   let xs = List.init 500 (fun _ -> Random.State.float rng 1000.0) in
-  List.iter (fun x -> Pqueue.push q x ()) xs;
+  List.iteri (fun i x -> Pqueue.push q x i) xs;
   check_int "length" 500 (Pqueue.length q);
   let popped = ref [] in
   while not (Pqueue.is_empty q) do
-    popped := fst (Pqueue.pop_min q) :: !popped
+    let p = Pqueue.min_prio q in
+    check "payload follows its priority" true (List.nth xs (Pqueue.pop_min q) = p);
+    popped := p :: !popped
   done;
   let sorted = List.sort Float.compare xs in
   check "pops in order" true (List.rev !popped = sorted)
